@@ -9,10 +9,14 @@ phase I operate on the (bin, combo) count histogram instead of tuples.
 The bin histogram is computed with a Spark ``groupBy`` over the R1 attribute
 columns; everything downstream of it is driver-side NumPy/pandas on a table
 whose size is bounded by the attribute-domain product, not the data.
+``CCIncidence`` records which (bin, combo) pairs each CC counts; every
+phase-I step reads CC membership from it.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import pandas as pd
@@ -154,9 +158,13 @@ class Combos:
             raise ValueError(f"R2 condition uses non-active columns {extra}")
         return self.table["combo_id"].to_numpy()[m]
 
+    @cached_property
+    def _records(self) -> list[dict]:
+        return self.table[self.active_cols].to_dict("records")
+
     def values_of(self, combo_id: int) -> dict:
-        row = self.table.loc[self.table["combo_id"] == combo_id].iloc[0]
-        return {c: row[c] for c in self.active_cols}
+        """Active-column values of a combo (combo ids are row positions)."""
+        return dict(self._records[combo_id])
 
     def matching_partial(self, partial: dict) -> np.ndarray:
         """Combos consistent with a partial assignment of active columns."""
@@ -164,6 +172,45 @@ class Combos:
         for col, val in partial.items():
             m &= (self.table[col] == val).to_numpy()
         return self.table["combo_id"].to_numpy()[m]
+
+
+@dataclass
+class CCIncidence:
+    """Which (bin, combo) pairs each CC counts — the single place phase I
+    decides CC membership.
+
+    A tuple of bin ``b`` assigned combo ``c`` counts toward CC ``i`` iff
+    ``bins[b, col[i]] and combos[c, col[i]]``. ``spurious[b, c]`` is the
+    number of CCs such a tuple counts toward. Bin and combo ids are row
+    positions (both are ``arange``s).
+    """
+
+    col: dict[int, int]   # cc_id → column
+    bins: np.ndarray      # bool, bins × CCs
+    combos: np.ndarray    # bool, combos × CCs
+    spurious: np.ndarray  # int, bins × combos
+
+    @staticmethod
+    def build(ccs: list[CC], binning: Binning, combos: Combos) -> "CCIncidence":
+        bins = np.zeros((len(binning.bins), len(ccs)), dtype=bool)
+        cmb = np.zeros((len(combos), len(ccs)), dtype=bool)
+        for k, cc in enumerate(ccs):
+            bins[binning.cond_bin_ids(cc.r1), k] = True
+            cmb[combos.cond_combo_ids(cc.r2), k] = True
+        spurious = bins.astype(np.int64) @ cmb.T.astype(np.int64)
+        return CCIncidence(
+            col={cc.cc_id: k for k, cc in enumerate(ccs)},
+            bins=bins,
+            combos=cmb,
+            spurious=spurious,
+        )
+
+    def scores(self, bin_id: int, allowed: Iterable[int] = ()) -> np.ndarray:
+        """Per combo: the number of CCs a tuple of ``bin_id`` would count
+        toward, other than the CCs in ``allowed``."""
+        cols = (self.col.get(i) for i in allowed)
+        hit = [k for k in cols if k is not None and self.bins[bin_id, k]]
+        return self.spurious[bin_id] - self.combos[:, hit].sum(axis=1)
 
 
 def active_r2_columns(ccs: list[CC]) -> list[str]:

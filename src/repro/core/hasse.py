@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binning import Binning
+from .binning import Binning, CCIncidence, Combos
 from .constraints import (
     CAT,
     CC,
@@ -194,7 +194,7 @@ def alg2_allocate(
     s1_ids: list[int],
     binning: Binning,
     avail: dict[int, int],
-    combos=None,
+    combos: Combos,
 ) -> Alg2Result:
     """Algorithm 2 at bin-count level. Mutates ``avail`` in place.
 
@@ -204,28 +204,14 @@ def alg2_allocate(
     child's R1 condition is always usable, while a bin inside a child's R1
     condition is usable only if some B-combo satisfies σ_m's R2 part without
     satisfying that child's (e.g. an Area-only parent drawing tuples with a
-    tenure other than its Tenure-Area child's). ``combos`` enables that
-    feasibility check; the harmless combo itself is chosen later by
-    ``hybrid.resolve_partials``'s spurious-contribution scorer.
+    tenure other than its Tenure-Area child's). The harmless combo itself is
+    chosen later by ``hybrid.resolve_partials``, from the same
+    ``CCIncidence`` table.
     """
     by_id = {c.cc_id: c for c in structure.ccs}
     s1 = set(s1_ids)
+    table = CCIncidence.build([by_id[i] for i in s1_ids], binning, combos)
     res = Alg2Result(allocations=[])
-    bin_cache: dict[int, np.ndarray] = {}
-    combo_cache: dict[int, frozenset] = {}
-
-    def bins_of(cc_id: int) -> np.ndarray:
-        if cc_id not in bin_cache:
-            bin_cache[cc_id] = binning.cond_bin_ids(by_id[cc_id].r1)
-        return bin_cache[cc_id]
-
-    def combos_of(cc_id: int) -> frozenset:
-        if cc_id not in combo_cache:
-            combo_cache[cc_id] = frozenset(
-                combos.cond_combo_ids(by_id[cc_id].r2).tolist()
-            )
-        return combo_cache[cc_id]
-
     visited: set[int] = set()
 
     def visit(cc_id: int) -> None:
@@ -239,22 +225,18 @@ def alg2_allocate(
         extra = cc.target - sum(by_id[k].target for k in kids)
         if extra < 0:  # overconstrained input; cap (recorded as error later)
             extra = 0
-        kid_bins: dict[int, set[int]] = {k: set(bins_of(k).tolist()) for k in kids}
         vals = _r2_values(cc)
 
-        def usable(b: int) -> bool:
-            overlapping = [k for k, bs in kid_bins.items() if b in bs]
-            if not overlapping:
-                return True
-            if combos is None:
-                return False
-            own = combos_of(cc_id)
-            blocked = set().union(*(combos_of(k) for k in overlapping))
-            return bool(own - blocked)
-
-        all_bins = sorted(bins_of(cc_id).tolist())
-        tier1 = [b for b in all_bins if not any(b in bs for bs in kid_bins.values())]
-        tier2 = [b for b in all_bins if b not in tier1 and usable(b)]
+        own = table.col[cc_id]
+        kid_cols = [table.col[k] for k in kids]
+        all_bins = np.flatnonzero(table.bins[:, own])
+        in_kid = table.bins[all_bins][:, kid_cols]   # bins × kids
+        # combos each bin's overlapping children would count
+        blocked = (in_kid.astype(np.int64) @ table.combos[:, kid_cols].T) > 0
+        usable = (table.combos[:, own] & ~blocked).any(axis=1)
+        overlaps = in_kid.any(axis=1)
+        tier1 = all_bins[~overlaps].tolist()
+        tier2 = all_bins[overlaps & usable].tolist()
         need = extra
         for b in tier1 + tier2:
             if need == 0:

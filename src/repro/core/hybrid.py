@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pandas as pd
 
-from .binning import Binning, Combos
+from .binning import Binning, CCIncidence, Combos
 from .constraints import CC
 from .hasse import (
     Alloc,
@@ -47,29 +47,21 @@ class Phase1Result:
     structure: HasseStructure | None = None
 
 
-class _Scorer:
-    """Counts spurious CC contributions of a (bin, combo) assignment."""
-
-    def __init__(self, ccs: list[CC], binning: Binning, combos: Combos):
-        self.cc_ids = [c.cc_id for c in ccs]
-        self.bin_sets = {c.cc_id: set(binning.cond_bin_ids(c.r1).tolist()) for c in ccs}
-        self.combo_sets = {
-            c.cc_id: set(combos.cond_combo_ids(c.r2).tolist()) for c in ccs
-        }
-
-    def score(self, bin_id: int, combo_id: int, allowed: set[int]) -> int:
-        return sum(
-            1
-            for i in self.cc_ids
-            if i not in allowed
-            and bin_id in self.bin_sets[i]
-            and combo_id in self.combo_sets[i]
-        )
+def _split(n: int, weights: np.ndarray) -> np.ndarray:
+    """Split ``n`` proportionally to ``weights``: floor, then largest
+    remainder."""
+    w = weights.astype(float)
+    w /= w.sum()
+    counts = np.floor(w * n).astype(int)
+    rem = n - counts.sum()
+    order = np.argsort(-(w * n - counts))
+    counts[order[:rem]] += 1
+    return counts
 
 
 def resolve_partials(
     allocations: list[Alloc],
-    scorer: _Scorer,
+    table: CCIncidence,
     combos: Combos,
     structure: HasseStructure | None,
 ) -> list[tuple[int, int, int]]:
@@ -79,9 +71,7 @@ def resolve_partials(
     freely contribute to ``c`` and its ancestors (that is the point of the
     Hasse recursion); any other contribution is spurious and minimised.
     """
-    nh = dict(
-        zip(combos.table["combo_id"].tolist(), combos.table["n_households"].tolist())
-    )
+    nh = combos.table["n_households"].to_numpy()
     out: list[tuple[int, int, int]] = []
     for a in allocations:
         elig = combos.matching_partial(a.partial)
@@ -93,22 +83,15 @@ def resolve_partials(
             allowed = {a.cc_id}
             if structure is not None:
                 allowed |= structure.ancestors(a.cc_id)
-        scores = {int(c): scorer.score(a.bin_id, int(c), allowed) for c in elig}
-        best_score = min(scores.values())
+        scores = table.scores(a.bin_id, allowed)[elig]
         # split the draw across *all* minimum-score combos proportionally to
         # their household counts: every min-score combo contributes equally
         # to the allocation's own CC and its ancestors (their conditions are
         # implied by the partial), so the split preserves exactness while
         # keeping phase-II partitions balanced (fewer fresh households, no
         # giant owner cliques)
-        chosen = sorted(c for c, s in scores.items() if s == best_score)
-        w = np.array([max(nh[c], 1) for c in chosen], dtype=float)
-        w /= w.sum()
-        counts = np.floor(w * a.count).astype(int)
-        rem = a.count - counts.sum()
-        order = np.argsort(-(w * a.count - counts))
-        counts[order[:rem]] += 1
-        for c, cnt in zip(chosen, counts.tolist()):
+        chosen = elig[scores == scores.min()]
+        for c, cnt in zip(chosen.tolist(), _split(a.count, nh[chosen]).tolist()):
             if cnt > 0:
                 out.append((a.bin_id, c, cnt))
     return out
@@ -116,7 +99,7 @@ def resolve_partials(
 
 def fill_leftovers(
     avail: dict[int, int],
-    scorer: _Scorer,
+    table: CCIncidence,
     combos: Combos,
     rng: np.random.Generator,
 ) -> tuple[list[tuple[int, int, int]], int]:
@@ -124,31 +107,22 @@ def fill_leftovers(
     14–17). Returns allocation rows + the number of invalid tuples."""
     rows: list[tuple[int, int, int]] = []
     n_invalid = 0
-    combo_ids = combos.table["combo_id"].tolist()
-    nh_all = dict(
-        zip(combos.table["combo_id"].tolist(), combos.table["n_households"].tolist())
-    )
+    nh = combos.table["n_households"].to_numpy()
     for b, n in sorted(avail.items()):
         if n <= 0:
             continue
-        unused = [c for c in combo_ids if scorer.score(b, c, set()) == 0]
-        if not unused:
+        unused = np.flatnonzero(table.spurious[b] == 0)
+        if not len(unused):
             rows.append((b, INVALID_COMBO, n))
             n_invalid += n
             continue
         # spread across the harmless combos proportionally to their household
         # counts: keeps phase-II partitions balanced and minimises the fresh
         # households the coloring has to mint for over-full partitions
-        unused = list(rng.permutation(unused))
-        w = np.array([nh_all[c] for c in unused], dtype=float)
-        w /= w.sum()
-        counts = np.floor(w * n).astype(int)
-        rem = n - counts.sum()
-        order = np.argsort(-(w * n - counts))
-        counts[order[:rem]] += 1
-        for c, cnt in zip(unused, counts.tolist()):
+        unused = rng.permutation(unused)
+        for c, cnt in zip(unused.tolist(), _split(n, nh[unused]).tolist()):
             if cnt > 0:
-                rows.append((b, int(c), cnt))
+                rows.append((b, c, cnt))
         avail[b] = 0
     return rows, n_invalid
 
@@ -198,10 +172,10 @@ def hybrid_phase1(
         node_limit=node_limit,
     )
 
-    scorer = _Scorer(ccs, binning, combos)
-    rows = resolve_partials(alg2.allocations, scorer, combos, structure)
-    rows += resolve_partials(alg1.allocations, scorer, combos, None)
-    left, _ = fill_leftovers(avail, scorer, combos, rng)
+    table = CCIncidence.build(ccs, binning, combos)
+    rows = resolve_partials(alg2.allocations, table, combos, structure)
+    rows += resolve_partials(alg1.allocations, table, combos, None)
+    left, _ = fill_leftovers(avail, table, combos, rng)
     rows += left
     n_invalid = sum(c for _, cid, c in rows if cid == INVALID_COMBO)
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..ilp import solve_ilp
-from .binning import Binning, Combos
+from .binning import Binning, CCIncidence, Combos
 from .constraints import CC
 from .hasse import Alloc
 
@@ -95,50 +95,41 @@ def alg1_allocate(
     if not ccs:
         return Alg1Result(allocations=[])
 
-    cc_bins = {cc.cc_id: set(binning.cond_bin_ids(cc.r1).tolist()) for cc in ccs}
-    cc_combos = {cc.cc_id: set(combos.cond_combo_ids(cc.r2).tolist()) for cc in ccs}
-
+    table = CCIncidence.build(ccs, binning, combos)
     all_bins = [b for b, n in sorted(avail.items()) if n > 0]
-    all_combos = combos.table["combo_id"].tolist()
 
     if marginals == "all":
         marg_bins = list(all_bins)
     elif marginals == "restricted":
-        rel = set().union(*cc_bins.values()) if cc_bins else set()
-        marg_bins = [b for b in all_bins if b in rel]
+        marg_bins = [b for b in all_bins if table.bins[b].any()]
     else:
         marg_bins = []
 
-    # --- variables -------------------------------------------------------
-    pairs: list[tuple[int, int]] = []  # (bin, combo); combo == -1 is ⊥
+    # --- variables: (bin, combo) pairs in sorted order; combo == -1 is ⊥ --
     if restrict_vars:
-        seen = set()
-        for cc in ccs:
-            for b in cc_bins[cc.cc_id]:
-                if avail.get(b, 0) <= 0:
-                    continue
-                for c in cc_combos[cc.cc_id]:
-                    if (b, c) not in seen:
-                        seen.add((b, c))
-                        pairs.append((b, c))
-        for b in marg_bins:  # ⊥ slot so marginal rows can leave tuples over
-            pairs.append((b, -1))
+        open_bins = np.zeros(len(table.bins), dtype=bool)
+        open_bins[all_bins] = True
+        vb, vc = np.nonzero((table.spurious > 0) & open_bins[:, None])
+        # ⊥ slot so marginal rows can leave tuples over
+        var_bins = np.concatenate([vb, np.asarray(marg_bins, dtype=np.int64)])
+        var_combos = np.concatenate([vc, np.full(len(marg_bins), -1, dtype=np.int64)])
+        order = np.lexsort((var_combos, var_bins))
+        var_bins, var_combos = var_bins[order], var_combos[order]
     else:
-        for b in all_bins:
-            for c in all_combos:
-                pairs.append((b, c))
-    pairs.sort()
-    n = len(pairs)
-    var_bins = np.array([b for b, _ in pairs], dtype=np.int64)
-    var_combos = np.array([c for _, c in pairs], dtype=np.int64)
+        var_bins = np.repeat(np.asarray(all_bins, dtype=np.int64), len(combos))
+        var_combos = np.tile(np.arange(len(combos), dtype=np.int64), len(all_bins))
+    n = len(var_bins)
+    is_real = var_combos >= 0
+    var_bin_cc = table.bins[var_bins]
+    var_combo_cc = table.combos[np.where(is_real, var_combos, 0)] & is_real[:, None]
 
     n_slack = 2 * len(ccs)
     rows = len(marg_bins) + len(ccs)
     A = np.zeros((rows, n + n_slack))
     b_vec = np.zeros(rows)
     c_vec = np.zeros(n + n_slack)
-    c_vec[n:] = 1.0                      # CC slack cost
-    c_vec[:n][var_combos == -1] = 1e-3   # mild pressure to assign tuples
+    c_vec[n:] = 1.0                 # CC slack cost
+    c_vec[:n][~is_real] = 1e-3      # mild pressure to assign tuples
 
     r = 0
     bin_totals: dict[int, int] = {}
@@ -148,10 +139,7 @@ def alg1_allocate(
         bin_totals[bbin] = avail[bbin]
         r += 1
     for k, cc in enumerate(ccs):
-        in_cc = np.isin(var_bins, list(cc_bins[cc.cc_id])) & np.isin(
-            var_combos, list(cc_combos[cc.cc_id])
-        )
-        A[r, :n][in_cc] = 1.0
+        A[r, :n][var_bin_cc[:, k] & var_combo_cc[:, k]] = 1.0
         A[r, n + 2 * k] = 1.0       # s+
         A[r, n + 2 * k + 1] = -1.0  # s-
         b_vec[r] = cc.target
@@ -172,7 +160,7 @@ def alg1_allocate(
         integral, nodes = res.integral, res.nodes
 
     allocations: list[Alloc] = []
-    for (bbin, cb), cnt in zip(pairs, x.tolist()):
+    for bbin, cb, cnt in zip(var_bins.tolist(), var_combos.tolist(), x.tolist()):
         if cnt <= 0 or cb == -1:
             continue
         allocations.append(

@@ -22,11 +22,11 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from .binning import Binning, Combos
+from .binning import Binning, CCIncidence, Combos
 from .coloring import color_with_extension
 from .conflict import enumerate_edges
 from .constraints import CC, DC
-from .hybrid import INVALID_COMBO, _Scorer
+from .hybrid import INVALID_COMBO
 
 
 def _key_bases(sizes: dict[int, int], max_key: int) -> dict[int, int]:
@@ -95,21 +95,17 @@ def solve_invalid_tuples(
     if invalid_pdf.empty:
         empty = pd.DataFrame({"p_id": [], "h_id": [], "combo_id": []})
         return empty, pd.DataFrame({"h_id": [], "combo_id": []})
-    scorer = _Scorer(ccs, binning, combos)
-    combo_ids = combos.table["combo_id"].tolist()
-    rows = []
-    news = []
-    nxt = fresh_start
-    for _, t in invalid_pdf.iterrows():
-        b = int(t["bin_id"])
-        best = min(combo_ids, key=lambda c: (scorer.score(b, c, set()), c))
-        rows.append((int(t["p_id"]), nxt, int(best)))
-        news.append((nxt, int(best)))
-        nxt += 1
-    return (
-        pd.DataFrame(rows, columns=["p_id", "h_id", "combo_id"]),
-        pd.DataFrame(news, columns=["h_id", "combo_id"]),
+    table = CCIncidence.build(ccs, binning, combos)
+    # argmin takes the first minimum: ties go to the smallest combo id
+    best = table.spurious[invalid_pdf["bin_id"].to_numpy(np.int64)].argmin(axis=1)
+    assign = pd.DataFrame(
+        {
+            "p_id": invalid_pdf["p_id"].to_numpy(np.int64),
+            "h_id": np.arange(fresh_start, fresh_start + len(best), dtype=np.int64),
+            "combo_id": best.astype(np.int64),
+        }
     )
+    return assign, assign[["h_id", "combo_id"]]
 
 
 def complete_fk(
@@ -170,15 +166,16 @@ def complete_fk(
     new_pairs = pd.concat([new_pairs, inv_new], ignore_index=True)
     r2_hat = r2_df
     if len(new_pairs):
-        defaults = _column_defaults(r2_df)
-        rows = []
-        for _, r in new_pairs.iterrows():
-            vals = dict(defaults)
-            vals.update(combos.values_of(int(r["combo_id"])))
-            vals[r2_key] = int(r["h_id"])
-            rows.append(vals)
-        new_df = spark.createDataFrame(pd.DataFrame(rows)[r2_df.columns])
-        r2_hat = r2_df.unionByName(new_df)
+        fresh = new_pairs.astype(np.int64).merge(
+            combos.table[[*combos.active_cols, "combo_id"]], on="combo_id", how="left"
+        )
+        keys = fresh.pop("h_id")
+        defaults = _column_defaults(r2_df, r2_key)
+        for col in r2_df.columns:
+            if col not in combos.active_cols:
+                fresh[col] = defaults.get(col)
+        fresh[r2_key] = keys
+        r2_hat = r2_df.unionByName(spark.createDataFrame(fresh[r2_df.columns]))
 
     if len(inv_assign):
         assign = assign.unionByName(
@@ -187,9 +184,13 @@ def complete_fk(
     return assign.select("p_id", "h_id"), r2_hat
 
 
-def _column_defaults(r2_df: DataFrame) -> dict:
-    """Mode-ish default values for R2 columns not fixed by the combo."""
-    first = r2_df.limit(1).collect()
+def _column_defaults(r2_df: DataFrame, r2_key: str) -> dict:
+    """Values for the R2 columns a fresh household's combo does not fix.
+
+    They are copied from the R2 row with the smallest ``r2_key``, so that
+    fresh households are the same on every run.
+    """
+    first = r2_df.orderBy(r2_key).limit(1).collect()
     if not first:
         return {}
     return first[0].asDict()

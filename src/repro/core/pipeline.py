@@ -13,6 +13,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
@@ -42,6 +43,14 @@ class CExtensionResult:
     method: str = "hybrid"
 
 
+def _reject_nulls(counts: pd.DataFrame, cols: list[str], rel: str) -> None:
+    """Null attribute values are outside the model: a null bin key can never
+    be matched back to its tuples, and a null combo value has no households."""
+    for col in cols:
+        if counts[col].isna().any():
+            raise ValueError(f"{rel} column {col!r} contains null values")
+
+
 def c_extension(
     spark: SparkSession,
     r1_df: DataFrame,
@@ -62,7 +71,8 @@ def c_extension(
     ``attr_cols`` restricts binning to a subset of R1 columns (used by the
     snowflake driver, where the accumulated view carries already-imputed FK
     columns that must not become bin keys). CC R1-conditions may only
-    reference these columns.
+    reference these columns. A null in an R1 attribute column or in an R2
+    column some CC uses raises ``ValueError``.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
@@ -73,14 +83,14 @@ def c_extension(
         r1_df = r1_df.withColumnRenamed(r1_key, "p_id")
 
     distinct_counts = r1_df.groupBy(*attrs).count().toPandas()
+    _reject_nulls(distinct_counts, attrs, "R1")
     binning = Binning.build(distinct_counts, ccs, attrs)
 
     active = active_r2_columns(ccs)
     if active:
         active_counts = r2_df.groupBy(*active).count().toPandas()
+        _reject_nulls(active_counts, active, "R2")
     else:
-        import pandas as pd
-
         active_counts = pd.DataFrame({"count": [r2_df.count()]})
     combos = Combos.build(active_counts, active)
 

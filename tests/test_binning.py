@@ -147,6 +147,15 @@ def test_combos_matching_partial(db):
     assert len(c.matching_partial({})) == len(c)
 
 
+def test_combos_values_of_round_trips(db):
+    c = Combos.build(
+        db.housing.groupby(["Tenure", "Area"]).size().reset_index(name="count"),
+        ["Tenure", "Area"],
+    )
+    for cid in c.table["combo_id"]:
+        assert c.matching_partial(c.values_of(cid)).tolist() == [cid]
+
+
 def test_active_r2_columns_union_order():
     ccs = [
         _cc(0, {"Rel": "A"}, {"Area": "C"}),

@@ -3,10 +3,10 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.binning import Binning, Combos
+from repro.core.binning import Binning, CCIncidence, Combos
 from repro.core.constraints import CC, Cond
 from repro.core.hasse import alg2_allocate, build_structure, split_s1_s2
-from repro.core.hybrid import hybrid_phase1, _Scorer, resolve_partials
+from repro.core.hybrid import hybrid_phase1, resolve_partials
 
 
 def _cc(i, r1, r2, k):
@@ -81,13 +81,15 @@ def test_equal_ccs_do_not_cycle():
 
 
 # ----------------------------------------------------------- Algorithm 2
-def _achieved(alloc_rows, scorer, cc):
+def _counts_toward(table, cc_id, bin_id, combo_id):
+    k = table.col[cc_id]
+    return table.bins[bin_id, k] and table.combos[combo_id, k]
+
+
+def _achieved(alloc_rows, table, cc):
     tot = 0
     for bin_id, combo_id, count in alloc_rows:
-        if (
-            bin_id in scorer.bin_sets[cc.cc_id]
-            and combo_id in scorer.combo_sets[cc.cc_id]
-        ):
+        if _counts_toward(table, cc.cc_id, bin_id, combo_id):
             tot += count
     return tot
 
@@ -99,9 +101,9 @@ def _run_alg2(r1_rows, ccs, r2_counts=None):
     assert s2 == [], "test expects a non-intersecting CC set"
     avail = binning.avail
     res = alg2_allocate(s, s1, binning, avail, combos)
-    scorer = _Scorer(ccs, binning, combos)
-    rows = resolve_partials(res.allocations, scorer, combos, s)
-    return res, rows, scorer, avail
+    table = CCIncidence.build(ccs, binning, combos)
+    rows = resolve_partials(res.allocations, table, combos, s)
+    return res, rows, table, avail
 
 
 def test_alg2_disjoint_base_case_exact():
@@ -110,10 +112,10 @@ def test_alg2_disjoint_base_case_exact():
         _cc(0, {"Rel": "A"}, {"Area": "C"}, 7),
         _cc(1, {"Rel": "B"}, {"Area": "N"}, 6),
     ]
-    res, rows, scorer, avail = _run_alg2(rows_r1, ccs)
+    res, rows, table, avail = _run_alg2(rows_r1, ccs)
     assert res.shortfall == {}
     for cc in ccs:
-        assert _achieved(rows, scorer, cc) == cc.target
+        assert _achieved(rows, table, cc) == cc.target
 
 
 def test_alg2_identical_r1_disjoint_r2_share_bins():
@@ -123,10 +125,10 @@ def test_alg2_identical_r1_disjoint_r2_share_bins():
         _cc(0, {"Rel": "A"}, {"Area": "C"}, 4),
         _cc(1, {"Rel": "A"}, {"Area": "N"}, 6),
     ]
-    res, rows, scorer, _ = _run_alg2(rows_r1, ccs)
+    res, rows, table, _ = _run_alg2(rows_r1, ccs)
     assert res.shortfall == {}
     for cc in ccs:
-        assert _achieved(rows, scorer, cc) == cc.target
+        assert _achieved(rows, table, cc) == cc.target
 
 
 def test_alg2_containment_chain_exact():
@@ -136,10 +138,10 @@ def test_alg2_containment_chain_exact():
         _cc(0, {"Age": (0, 30)}, {"Area": "C"}, 8),
         _cc(1, {"Age": (0, 10)}, {"Area": "C"}, 3),
     ]
-    res, rows, scorer, _ = _run_alg2(rows_r1, ccs)
+    res, rows, table, _ = _run_alg2(rows_r1, ccs)
     assert res.shortfall == {}
-    assert _achieved(rows, scorer, ccs[1]) == 3
-    assert _achieved(rows, scorer, ccs[0]) == 8  # includes the 3 children
+    assert _achieved(rows, table, ccs[1]) == 3
+    assert _achieved(rows, table, ccs[0]) == 8  # includes the 3 children
 
 
 def test_alg2_parent_draw_avoids_child_bins():
@@ -149,11 +151,11 @@ def test_alg2_parent_draw_avoids_child_bins():
         _cc(0, {"Age": (0, 20)}, {"Area": "C"}, 7),
         _cc(1, {"Age": (0, 10)}, {"Area": "C"}, 2),
     ]
-    res, rows, scorer, _ = _run_alg2(rows_r1, ccs)
+    res, rows, table, _ = _run_alg2(rows_r1, ccs)
     assert res.shortfall == {}
     # child bin (age 5) contributes exactly 2 to area C
     child_contrib = sum(
-        c for b, cid, c in rows if b in scorer.bin_sets[1] and cid in scorer.combo_sets[1]
+        c for b, cid, c in rows if _counts_toward(table, 1, b, cid)
     )
     assert child_contrib == 2
 
@@ -183,16 +185,16 @@ def test_alg2_area_only_parent_with_tenure_child():
     avail = binning.avail
     res = alg2_allocate(s, s1, binning, avail, combos)
     assert res.shortfall == {}
-    scorer = _Scorer(ccs, binning, combos)
-    rows = resolve_partials(res.allocations, scorer, combos, s)
-    assert _achieved(rows, scorer, ccs[1]) == 4
-    assert _achieved(rows, scorer, ccs[0]) == 7  # 4 via child + 3 via (C,R)
+    table = CCIncidence.build(ccs, binning, combos)
+    rows = resolve_partials(res.allocations, table, combos, s)
+    assert _achieved(rows, table, ccs[1]) == 4
+    assert _achieved(rows, table, ccs[0]) == 7  # 4 via child + 3 via (C,R)
 
 
 def test_alg2_shortfall_reported_when_infeasible():
     rows_r1 = [(5, "A")] * 3
     ccs = [_cc(0, {"Rel": "A"}, {"Area": "C"}, 10)]
-    res, rows, scorer, _ = _run_alg2(rows_r1, ccs)
+    res, rows, table, _ = _run_alg2(rows_r1, ccs)
     assert res.shortfall == {0: 7}
 
 
@@ -219,8 +221,8 @@ def test_hybrid_allocation_exact_on_consistent_workloads(db, seed, flavor):
     ccs = mk(db, n_cc=60, seed=seed)
     binning, combos = build_phase1_inputs(db, ccs)
     res = hybrid_phase1(ccs, binning, combos, seed=seed)
-    scorer = _Scorer(ccs, binning, combos)
+    table = CCIncidence.build(ccs, binning, combos)
     rows = list(res.alloc.itertuples(index=False, name=None))
     for cc in ccs:
-        assert _achieved(rows, scorer, cc) == cc.target, str(cc)
+        assert _achieved(rows, table, cc) == cc.target, str(cc)
     assert res.alloc["count"].sum() == len(db.persons)

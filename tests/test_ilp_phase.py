@@ -3,21 +3,18 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.binning import Binning, Combos
+from repro.core.binning import Binning, CCIncidence, Combos
 from repro.core.constraints import CC, Cond
-from repro.core.hybrid import _Scorer
 from repro.core.ilp_phase import alg1_allocate
 
 
-def _achieved(allocs, scorer, combos, cc):
+def _achieved(allocs, table, combos, cc):
     tot = 0
+    k = table.col[cc.cc_id]
     for a in allocs:
         elig = combos.matching_partial(a.partial)
         assert len(elig) == 1
-        if (
-            a.bin_id in scorer.bin_sets[cc.cc_id]
-            and int(elig[0]) in scorer.combo_sets[cc.cc_id]
-        ):
+        if table.bins[a.bin_id, k] and table.combos[int(elig[0]), k]:
             tot += a.count
     return tot
 
@@ -42,9 +39,9 @@ def test_example_41_with_marginals_satisfies_all_ccs(example_41):
     avail = binning.avail
     res = alg1_allocate(ccs, binning, combos, avail, marginals="all")
     assert res.integral
-    scorer = _Scorer(ccs, binning, combos)
+    table = CCIncidence.build(ccs, binning, combos)
     for cc in ccs:
-        assert _achieved(res.allocations, scorer, combos, cc) == cc.target
+        assert _achieved(res.allocations, table, combos, cc) == cc.target
     assert sum(a.count for a in res.allocations) == 9  # all tuples assigned
     assert sum(avail.values()) == 0
 
@@ -69,10 +66,10 @@ def test_restricted_marginals_only_touch_relevant_bins(example_41):
     res = alg1_allocate(
         owner_cc, binning, combos, avail, marginals="restricted", restrict_vars=True
     )
-    scorer = _Scorer(owner_cc, binning, combos)
-    assert _achieved(res.allocations, scorer, combos, owner_cc[0]) == 4
+    table = CCIncidence.build(owner_cc, binning, combos)
+    assert _achieved(res.allocations, table, combos, owner_cc[0]) == 4
     touched_bins = {a.bin_id for a in res.allocations}
-    assert touched_bins <= set(scorer.bin_sets[0])
+    assert touched_bins <= set(np.flatnonzero(table.bins[:, table.col[0]]))
 
 
 def test_empty_cc_list_is_noop(example_41):

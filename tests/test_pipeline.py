@@ -11,6 +11,7 @@ from pyspark.sql import functions as F
 
 from repro import workloads
 from repro.core import metrics
+from repro.core.constraints import CC, Cond, pairwise_dc
 from repro.core.pipeline import c_extension
 
 
@@ -125,3 +126,42 @@ def test_hybrid_with_good_dcs_subset(spark, db, ccs_good, dcs_good):
         method="hybrid", seed=0,
     )
     assert metrics.dc_error(res.r1_hat, dcs_good) == 0.0
+
+
+@pytest.mark.parametrize(
+    "rel, col",
+    [("r1", "Multi_ling"), ("r1", "Age"), ("r2", "Tenure")],
+)
+def test_null_attribute_rejected(spark, db, ccs_good, dcs_all, rel, col):
+    """A null bin key can never be matched back to its tuples, so a null in
+    an R1 attribute or an active R2 column is refused at the boundary."""
+    frames = {"r1": db.spark_r1(spark), "r2": db.spark_r2(spark)}
+    key = {"r1": "p_id", "r2": "h_id"}[rel]
+    df = frames[rel]
+    first = [r[key] for r in df.orderBy(key).limit(3).collect()]
+    frames[rel] = df.withColumn(
+        col, F.when(F.col(key).isin(first), None).otherwise(F.col(col))
+    )
+    with pytest.raises(ValueError, match=col):
+        c_extension(
+            spark, frames["r1"], frames["r2"], ccs_good, dcs_all,
+            method="hybrid", seed=0,
+        )
+
+
+def test_fresh_households_copy_smallest_key_row(spark):
+    """Columns a fresh household's combo does not fix come from the R2 row
+    with the smallest key, whatever order R2 is stored in."""
+    persons = pd.DataFrame(
+        {"p_id": [1, 2, 3], "Age": [40, 50, 60], "Rel": ["Owner"] * 3}
+    )
+    housing = pd.DataFrame({"h_id": [7, 3], "Area": ["C", "C"], "Bath": [1, 2]})
+    owner = Cond.of(Rel="Owner")
+    ccs = [CC(0, owner, Cond.of(Area="C"), 3)]
+    dcs = [pairwise_dc("dc_oo", owner, owner)]  # 3 owners, 2 homes: 1 fresh
+    res = c_extension(
+        spark, spark.createDataFrame(persons), spark.createDataFrame(housing),
+        ccs, dcs, method="hybrid", seed=0,
+    )
+    fresh = res.r2_hat.filter(F.col("h_id") > 7).toPandas()
+    assert fresh[["Area", "Bath"]].to_dict("records") == [{"Area": "C", "Bath": 2}]
