@@ -65,9 +65,8 @@ def color_with_extension(
     while skipped:
         fresh = list(range(next_fresh, next_fresh + len(skipped)))
         c, skipped = coloring_lf(n, edges, c, fresh)
-        used_fresh.extend(col for col in fresh if col in c.values())
+        # report only fresh colors actually assigned (c only ever grows)
+        assigned = set(c.values())
+        used_fresh.extend(col for col in fresh if col in assigned)
         next_fresh += len(fresh)
-    # report only fresh colors actually assigned
-    assigned = set(c.values())
-    used_fresh = [col for col in used_fresh if col in assigned]
     return c, used_fresh

@@ -3,8 +3,10 @@
 Edges connect sets of R1 tuples that would violate a Foreign-Key DC's
 condition φ if they shared an FK value. Enumeration is per phase-II
 partition (tuples sharing a B-combo), vectorised with NumPy broadcasting for
-the common pairwise case; 3-ary DCs (used by the NP-hardness gadget) take a
-filtered nested loop — gadget instances are small by construction.
+the common pairwise case; 3-ary DCs (used by the NP-hardness gadget) extend
+candidate tuples one variable at a time — gadget instances are small by
+construction. The comps are evaluated by ``DC.comps_hold``, the same code
+the DC-error metric uses.
 """
 from __future__ import annotations
 
@@ -16,23 +18,18 @@ from .constraints import DC
 
 def pairwise_edges(pdf: pd.DataFrame, dc: DC) -> set[tuple[int, int]]:
     """Positional-index pairs violating a 2-ary DC's φ."""
-    m1 = dc.preds[0].mask(pdf)
-    m2 = dc.preds[1].mask(pdf)
-    i1 = np.where(m1)[0]
-    i2 = np.where(m2)[0]
+    i1 = np.where(dc.preds[0].mask(pdf))[0]
+    i2 = np.where(dc.preds[1].mask(pdf))[0]
     if i1.size == 0 or i2.size == 0:
         return set()
-    ok = np.ones((i1.size, i2.size), dtype=bool)
-    # comp.i / comp.j index the DC's tuple variables: variable 0 ranges over
-    # i1 (rows matching pred 0, the first broadcast axis), variable 1 over i2.
-    for comp in dc.comps:
-        ci = pdf[comp.col_i].to_numpy()
-        cj = pdf[comp.col_j].to_numpy()
-        left = ci[i1][:, None] if comp.i == 0 else ci[i2][None, :]
-        right = cj[i1][:, None] if comp.j == 0 else cj[i2][None, :]
-        ok &= comp.apply(left, right)
-    same = i1[:, None] == i2[None, :]
-    ok &= ~same
+
+    def side(var: int, rows: np.ndarray) -> dict[str, np.ndarray]:
+        return {c: pdf[c].to_numpy()[rows] for c in dc.var_columns(var)}
+
+    # Tuple variable 0 ranges over i1 (rows matching pred 0, the first
+    # broadcast axis), variable 1 over i2.
+    sides = [side(0, i1[:, None]), side(1, i2[None, :])]
+    ok = dc.comps_hold(sides, i1[:, None] != i2[None, :])
     out: set[tuple[int, int]] = set()
     xs, ys = np.where(ok)
     for x, y in zip(i1[xs].tolist(), i2[ys].tolist()):
@@ -41,29 +38,23 @@ def pairwise_edges(pdf: pd.DataFrame, dc: DC) -> set[tuple[int, int]]:
 
 
 def _nary_edges(pdf: pd.DataFrame, dc: DC) -> set[tuple[int, ...]]:
-    """Generic k-ary enumeration (k ≥ 3), nested loops with pred filters."""
-    idx = [np.where(p.mask(pdf))[0] for p in dc.preds]
-    cols = {c: pdf[c].to_numpy() for c in pdf.columns}
-    out: set[tuple[int, ...]] = set()
+    """Generic k-ary enumeration (k ≥ 3).
 
-    def rec(pos: int, chosen: list[int]):
-        if pos == dc.arity:
-            vals = chosen
-            for comp in dc.comps:
-                vi = cols[comp.col_i][vals[comp.i]]
-                vj = cols[comp.col_j][vals[comp.j]]
-                if not bool(comp.apply(np.array(vi), np.array(vj))):
-                    return
-            out.add(tuple(sorted(set(vals))) if len(set(vals)) == dc.arity else None)
-            return
-        for i in idx[pos]:
-            if i in chosen:
-                continue
-            rec(pos + 1, chosen + [int(i)])
-
-    rec(0, [])
-    out.discard(None)
-    return out
+    Candidate tuples of distinct positions grow one variable at a time over
+    that variable's pred-filtered rows; after each step only those whose
+    comps on the bound variables hold are kept.
+    """
+    cols = {c: pdf[c].to_numpy() for c in dc.columns}
+    rows = np.zeros((1, 0), dtype=np.int64)
+    for k, pred in enumerate(dc.preds):
+        idx = np.where(pred.mask(pdf))[0]
+        rows = np.hstack(
+            [np.repeat(rows, idx.size, axis=0), np.tile(idx, len(rows))[:, None]]
+        )
+        ok = (rows[:, :k] != rows[:, k:]).all(axis=1)
+        sides = [{c: cols[c][rows[:, v]] for c in dc.var_columns(v)} for v in range(k + 1)]
+        rows = rows[dc.comps_hold(sides, ok, last=k)]
+    return {tuple(sorted(r)) for r in rows.tolist()}
 
 
 def enumerate_edges(pdf: pd.DataFrame, dcs: list[DC]) -> list[tuple[int, ...]]:

@@ -11,7 +11,7 @@ a value set, either a categorical ``frozenset`` or a closed integer interval
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 import pandas as pd
@@ -347,11 +347,58 @@ class DC:
             if not (0 <= c.i < self.arity and 0 <= c.j < self.arity):
                 raise ValueError(f"comp {c} indexes outside arity {self.arity}")
 
+    @property
+    def columns(self) -> tuple[str, ...]:
+        """Every column the preds and comps read."""
+        cols = {c for p in self.preds for c in p.columns}
+        for i in range(self.arity):
+            cols.update(self.var_columns(i))
+        return tuple(sorted(cols))
+
+    def var_columns(self, i: int) -> tuple[str, ...]:
+        """Columns the comps read from tuple variable ``i``."""
+        cols = {c.col_i for c in self.comps if c.i == i}
+        cols |= {c.col_j for c in self.comps if c.j == i}
+        return tuple(sorted(cols))
+
+    def comps_hold(
+        self,
+        sides: Sequence[Mapping[str, np.ndarray]],
+        ok: np.ndarray,
+        *,
+        last: int | None = None,
+    ) -> np.ndarray:
+        """AND into ``ok`` (in place, and returned) whether the comps hold.
+
+        ``sides[i]`` maps each of ``var_columns(i)`` to the values of tuple
+        variable ``i``, as arrays that broadcast to ``ok``'s shape: aligned
+        1-D arrays for joined candidate tuples, ``[:, None]`` and
+        ``[None, :]`` for a pairwise cross product. With ``last``, only the
+        comps whose highest variable is ``last`` are evaluated, so that
+        candidate tuples can be extended one variable at a time. As in SQL,
+        a comparison with a null value does not hold (NumPy has
+        ``NaN != x`` true).
+
+        This is the one evaluator of the comps: conflict enumeration and
+        the DC-error metric both call it.
+        """
+        for comp in self.comps:
+            if last is not None and max(comp.i, comp.j) != last:
+                continue
+            left = sides[comp.i][comp.col_i]
+            right = sides[comp.j][comp.col_j]
+            ok &= comp.apply(left, right)
+            for vals in (left, right):
+                null = pd.isna(vals)
+                if null.any():
+                    ok &= ~null
+        return ok
+
     def to_sql_violation(self, table: str, key: str, fk: str) -> str:
         """SQL counting distinct tuples of ``table`` violating this DC.
 
-        Used by the DuckDB oracle to cross-check the Spark self-join
-        implementation in ``metrics.dc_error``.
+        Used by the DuckDB oracle to cross-check the FK-partitioned pandas
+        pass of ``metrics.dc_error``.
         """
         aliases = [f"t{i}" for i in range(self.arity)]
         froms = ", ".join(f"{table} {a}" for a in aliases)

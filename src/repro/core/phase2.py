@@ -39,20 +39,25 @@ def _key_bases(sizes: dict[int, int], max_key: int) -> dict[int, int]:
     return bases
 
 
+def _partition_of(keys: np.ndarray, bases: dict[int, int]) -> np.ndarray:
+    """The partition whose reserved fresh-key range holds each of ``keys``."""
+    ids = np.array(sorted(bases), dtype=np.int64)
+    starts = np.array([bases[i] for i in ids], dtype=np.int64)
+    return ids[np.searchsorted(starts, keys, side="right") - 1]
+
+
 def _coloring_fn(dcs: list[DC], bases: dict[int, int], r2_key: str):
     def fn(key, left: pd.DataFrame, right: pd.DataFrame) -> pd.DataFrame:
         if left.empty:
-            return pd.DataFrame({"p_id": [], "h_id": [], "combo_id": []})
-        combo_id = int(key[0])
+            return pd.DataFrame({"p_id": [], "h_id": []})
         lp = left.reset_index(drop=True)
         keys = sorted(int(k) for k in right[r2_key].tolist())
         edges = enumerate_edges(lp, dcs)
-        c, _ = color_with_extension(len(lp), edges, keys, bases[combo_id])
+        c, _ = color_with_extension(len(lp), edges, keys, bases[int(key[0])])
         return pd.DataFrame(
             {
                 "p_id": lp["p_id"].astype(np.int64),
                 "h_id": np.array([c[i] for i in range(len(lp))], dtype=np.int64),
-                "combo_id": np.int64(combo_id),
             }
         )
 
@@ -64,15 +69,13 @@ def _random_fn(seed: int, r2_key: str):
 
     def fn(key, left: pd.DataFrame, right: pd.DataFrame) -> pd.DataFrame:
         if left.empty:
-            return pd.DataFrame({"p_id": [], "h_id": [], "combo_id": []})
-        combo_id = int(key[0])
-        g = np.random.default_rng(seed + combo_id)
+            return pd.DataFrame({"p_id": [], "h_id": []})
+        g = np.random.default_rng(seed + int(key[0]))
         keys = np.sort(right[r2_key].to_numpy())
         return pd.DataFrame(
             {
                 "p_id": left["p_id"].astype(np.int64).to_numpy(),
                 "h_id": g.choice(keys, size=len(left)).astype(np.int64),
-                "combo_id": np.int64(combo_id),
             }
         )
 
@@ -126,6 +129,10 @@ def complete_fk(
 
     ``vjoin_df`` must carry ``p_id``, the R1 attributes, ``bin_id`` and a
     non-null ``combo_id`` (INVALID_COMBO for invalid tuples).
+
+    The assignments are persisted, so that the per-partition coloring runs
+    once for the new-household query here and the caller's R̂1; the caller
+    unpersists them once it has materialised R̂1.
     """
     valid = vjoin_df.filter(F.col("combo_id") != INVALID_COMBO)
     sizes = {
@@ -143,7 +150,7 @@ def complete_fk(
     assign = (
         valid.groupBy("combo_id")
         .cogroup(r2_with_combo.groupBy("combo_id"))
-        .applyInPandas(fn, "p_id long, h_id long, combo_id long")
+        .applyInPandas(fn, "p_id long, h_id long")
     )
 
     invalid_pdf = (
@@ -156,13 +163,20 @@ def complete_fk(
         invalid_pdf, ccs, binning, combos, fresh_start
     )
 
+    if len(inv_assign):
+        assign = assign.unionByName(spark.createDataFrame(inv_assign[["p_id", "h_id"]]))
+    assign = assign.persist()
+
     # new households = fresh keys used by coloring + invalid resolutions
-    new_pairs = (
-        assign.filter(F.col("h_id") > int(max_key))
-        .select("h_id", "combo_id")
+    colored = (
+        assign.filter((F.col("h_id") > int(max_key)) & (F.col("h_id") < fresh_start))
+        .select("h_id")
         .distinct()
-        .toPandas()
+        .toPandas()["h_id"]
+        .sort_values()
+        .to_numpy(np.int64)
     )
+    new_pairs = pd.DataFrame({"h_id": colored, "combo_id": _partition_of(colored, bases)})
     new_pairs = pd.concat([new_pairs, inv_new], ignore_index=True)
     r2_hat = r2_df
     if len(new_pairs):
@@ -176,12 +190,7 @@ def complete_fk(
                 fresh[col] = defaults.get(col)
         fresh[r2_key] = keys
         r2_hat = r2_df.unionByName(spark.createDataFrame(fresh[r2_df.columns]))
-
-    if len(inv_assign):
-        assign = assign.unionByName(
-            spark.createDataFrame(inv_assign[["p_id", "h_id", "combo_id"]])
-        )
-    return assign.select("p_id", "h_id"), r2_hat
+    return assign, r2_hat
 
 
 def _column_defaults(r2_df: DataFrame, r2_key: str) -> dict:

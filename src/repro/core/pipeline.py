@@ -143,6 +143,7 @@ def c_extension(
         r1_hat = r1_hat.withColumnRenamed("p_id", r1_key)
     r1_hat = r1_hat.persist()
     r1_hat.count()
+    assign.unpersist()
     t_coloring = time.perf_counter() - t0
 
     timings = dict(p1.timings)

@@ -51,7 +51,7 @@ def test_cc_error_summary_fields(spark, solved, ccs_good):
 
 
 def test_dc_violators_matches_duckdb_oracle(spark):
-    """Spark self-join violator count == the DC's own SQL on DuckDB."""
+    """Violator count == the DC's own SQL on DuckDB."""
     pdf = pd.DataFrame(
         {
             "p_id": [1, 2, 3, 4],

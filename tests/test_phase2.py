@@ -107,3 +107,41 @@ def test_baseline_random_fk_assigns_all(solved_baseline):
 def test_baseline_typically_violates_dcs(solved_baseline, dcs_all):
     """Random FK assignment should violate DCs on ~any realistic instance."""
     assert metrics.dc_error(solved_baseline.r1_hat, dcs_all) > 0.0
+
+
+def test_coloring_runs_once_per_partition(spark, db, ccs_good, dcs_good, monkeypatch):
+    """Each B-combo partition is colored once per solve, and the cached
+    phase-II assignments are released once R̂1 is materialised."""
+    from repro.core import phase2
+    from repro.core.hybrid import INVALID_COMBO
+    from repro.core.pipeline import c_extension
+
+    sc = spark.sparkContext
+    calls = sc.accumulator(0)
+    coloring_fn = phase2._coloring_fn
+
+    def counting_fn(*args):
+        fn = coloring_fn(*args)
+
+        def counted(key, left, right):
+            calls.add(1)
+            return fn(key, left, right)
+
+        return counted
+
+    monkeypatch.setattr(phase2, "_coloring_fn", counting_fn)
+    r1, r2 = db.spark_r1(spark), db.spark_r2(spark)
+    cached_before = set(sc._jsc.getPersistentRDDs().keys())
+    res = c_extension(spark, r1, r2, ccs_good, dcs_good, method="hybrid", seed=0)
+    # the cogroup calls the UDF once per combo key present on either side
+    valid = res.vjoin.filter(F.col("combo_id") != INVALID_COMBO)
+    left = {r["combo_id"] for r in valid.select("combo_id").distinct().collect()}
+    active = res.combos.active_cols
+    right = set(r2.toPandas().merge(res.combos.table, on=active)["combo_id"])
+    assert calls.value == len(left | right)
+    res.r1_hat.toPandas()
+    assert calls.value == len(left | right)
+    # only V_Join and R̂1 stay cached
+    res.vjoin.unpersist(blocking=True)
+    res.r1_hat.unpersist(blocking=True)
+    assert set(sc._jsc.getPersistentRDDs().keys()) <= cached_before

@@ -1,18 +1,23 @@
 """Property-based tests (hypothesis) for the algorithmic substrates."""
+import itertools
+
 import numpy as np
 import pandas as pd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.coloring import color_with_extension, coloring_lf
-from repro.core.conflict import pairwise_edges
+from repro.core.conflict import enumerate_edges, pairwise_edges
 from repro.core.constraints import (
     CC,
     CONTAINED,
     CONTAINS,
+    DC,
     DISJOINT,
     EQUAL,
+    Comp,
     Cond,
+    OutsideComp,
     cc_relationship,
     pairwise_dc,
 )
@@ -133,6 +138,61 @@ def test_pairwise_edges_random_instances(seed):
             if pdf.Age[i] < pdf.Age[j]:
                 expected.add(tuple(sorted((i, j))))
     assert got == expected
+
+
+def _random_dc(g, arity):
+    """A DC with random preds on Rel and random Age/Rel comps."""
+    preds = tuple(
+        Cond.of(Rel=str(g.choice(["A", "B"]))) if g.random() < 0.5 else Cond.of()
+        for _ in range(arity)
+    )
+    comps = []
+    for _ in range(int(g.integers(0, 3))):
+        i, j = (int(v) for v in g.integers(0, arity, 2))
+        kind = g.integers(0, 3)
+        if kind == 0:
+            lo = int(g.integers(-10, 10))
+            comps.append(OutsideComp(i, "Age", j, "Age", lo, lo + int(g.integers(0, 10))))
+        elif kind == 1:
+            comps.append(Comp(i, "Rel", str(g.choice(["=", "!="])), j, "Rel"))
+        else:
+            op = str(g.choice(["<", ">", "<=", ">=", "=", "!="]))
+            comps.append(Comp(i, "Age", op, j, "Age", int(g.integers(-5, 5))))
+    return DC("rnd", preds, tuple(comps))
+
+
+def _brute_edges(pdf, dc):
+    """Sorted position tuples of ordered distinct rows violating ``dc``."""
+    rows = pdf.to_dict("records")
+    out = set()
+    for t in itertools.permutations(range(len(rows)), dc.arity):
+        if not all(p.matches_row(rows[v]) for p, v in zip(dc.preds, t)):
+            continue
+        if all(
+            bool(c.apply(np.array(rows[t[c.i]][c.col_i]), np.array(rows[t[c.j]][c.col_j])))
+            for c in dc.comps
+        ):
+            out.add(tuple(sorted(t)))
+    return out
+
+
+@given(st.integers(0, 10_000), st.sampled_from([2, 3]))
+@settings(max_examples=60, deadline=None)
+def test_edges_match_bruteforce_on_random_dcs(seed, arity):
+    """Conflict edges of random pairwise and 3-ary DCs equal a brute force
+    over all ordered tuples of distinct rows."""
+    g = np.random.default_rng(seed)
+    n = int(g.integers(2, 10))
+    pdf = pd.DataFrame(
+        {
+            "p_id": range(n),
+            "Age": g.integers(0, 30, n),
+            "Rel": g.choice(["A", "B"], n),
+        }
+    )
+    dc = _random_dc(g, arity)
+    got = pairwise_edges(pdf, dc) if arity == 2 else set(enumerate_edges(pdf, [dc]))
+    assert got == _brute_edges(pdf, dc)
 
 
 # ---------------------------------------------------------------------- ILP
